@@ -16,97 +16,50 @@ Quickstart::
     print(result.leader, result.messages, result.rounds)
 """
 
-from repro.adversary import AdversarySpec
-from repro.classical import (
-    classical_agreement_private,
-    classical_agreement_shared,
-    classical_le_complete,
-    classical_le_diameter2,
-    classical_le_general,
-    classical_le_mixing,
-    classical_mst,
-    hirschberg_sinclair_ring,
-    lcr_ring,
-)
-from repro.core import (
-    AgreementResult,
-    LeaderElectionResult,
-    approx_count,
-    distributed_grover_search,
-    quantum_count,
-    quantum_minimum,
-    walk_search,
-)
-from repro.core.agreement import quantum_agreement
-from repro.core.leader_election import (
-    MSTResult,
-    QWLEParameters,
-    make_explicit,
-    quantum_general_le,
-    quantum_le_complete,
-    quantum_mst,
-    quantum_qwle,
-    quantum_rwle,
-)
-from repro.quantum import exact_star_grover
-from repro.network import MetricsRecorder, Status
-from repro.runtime import (
-    ProtocolRegistry,
-    ProtocolSpec,
-    Scenario,
-    ScenarioRun,
-    TopologySpec,
-    TrialOutcome,
-    TrialSet,
-    default_registry,
-    get_scenario,
-    run_scenario,
-)
-from repro.util import FaultInjector, RandomSource, SharedCoin
+import importlib
 
 __version__ = "1.2.0"
 
-__all__ = [
-    "AdversarySpec",
-    "AgreementResult",
-    "FaultInjector",
-    "LeaderElectionResult",
-    "MSTResult",
-    "MetricsRecorder",
-    "ProtocolRegistry",
-    "ProtocolSpec",
-    "QWLEParameters",
-    "RandomSource",
-    "Scenario",
-    "ScenarioRun",
-    "SharedCoin",
-    "Status",
-    "TopologySpec",
-    "TrialOutcome",
-    "TrialSet",
-    "approx_count",
-    "classical_agreement_private",
-    "classical_agreement_shared",
-    "classical_le_complete",
-    "classical_le_diameter2",
-    "classical_le_general",
-    "classical_le_mixing",
-    "classical_mst",
-    "default_registry",
-    "distributed_grover_search",
-    "exact_star_grover",
-    "get_scenario",
-    "hirschberg_sinclair_ring",
-    "lcr_ring",
-    "make_explicit",
-    "quantum_agreement",
-    "quantum_count",
-    "quantum_general_le",
-    "quantum_le_complete",
-    "quantum_minimum",
-    "quantum_mst",
-    "quantum_qwle",
-    "quantum_rwle",
-    "run_scenario",
-    "walk_search",
-]
+# Public names by defining module.  Nothing is imported when the package
+# loads; each name is imported on first access (PEP 562), so a process
+# pays only for the layers it touches.
+_EXPORTS = {
+    "repro.adversary": ("AdversarySpec",),
+    "repro.classical": (
+        "classical_agreement_private", "classical_agreement_shared",
+        "classical_le_complete", "classical_le_diameter2", "classical_le_general",
+        "classical_le_mixing", "classical_mst", "hirschberg_sinclair_ring", "lcr_ring",
+    ),
+    "repro.core": (
+        "AgreementResult", "LeaderElectionResult", "approx_count",
+        "distributed_grover_search", "quantum_count", "quantum_minimum", "walk_search",
+    ),
+    "repro.core.agreement": ("quantum_agreement",),
+    "repro.core.leader_election": (
+        "MSTResult", "QWLEParameters", "make_explicit", "quantum_general_le",
+        "quantum_le_complete", "quantum_mst", "quantum_qwle", "quantum_rwle",
+    ),
+    "repro.quantum": ("exact_star_grover",),
+    "repro.network": ("MetricsRecorder", "Status"),
+    "repro.runtime": (
+        "ProtocolRegistry", "ProtocolSpec", "Scenario", "ScenarioRun", "TopologySpec",
+        "TrialOutcome", "TrialSet", "default_registry", "get_scenario", "run_scenario",
+    ),
+    "repro.util": ("FaultInjector", "RandomSource", "SharedCoin"),
+}
+_ORIGIN = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = sorted(_ORIGIN)
+
+
+def __getattr__(name: str):
+    module = _ORIGIN.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(module), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__})

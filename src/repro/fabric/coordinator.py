@@ -31,7 +31,7 @@ from repro.fabric.queue import (
     FabricQueue,
     IncompleteSweepError,
 )
-from repro.runtime.runner import ScenarioRun
+from repro.runtime.runner import ScenarioRun, import_protocol_stack
 from repro.runtime.scenario import Scenario
 
 logger = logging.getLogger(__name__)
@@ -201,6 +201,7 @@ def run_fabric_sweep(
     )
     fault_plans = fault_plans or {}
     spawned = 0
+    import_protocol_stack()
 
     def spawn(index: int, tag: str = "local"):
         nonlocal spawned

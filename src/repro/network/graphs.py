@@ -9,8 +9,6 @@ from __future__ import annotations
 
 import math
 
-import networkx as nx
-
 from repro.network.topology import (
     CompleteBipartiteTopology,
     CompleteTopology,
@@ -114,6 +112,8 @@ def random_regular(n: int, degree: int, rng: RandomSource) -> ExplicitTopology:
         raise ValueError(f"need n > degree, got n={n}, degree={degree}")
     if n * degree % 2 != 0:
         raise ValueError(f"n * degree must be even, got n={n}, degree={degree}")
+    import networkx as nx
+
     for _ in range(100):
         seed = rng.uniform_int(0, 2**31 - 1)
         graph = nx.random_regular_graph(degree, n, seed=seed)
@@ -134,6 +134,8 @@ def erdos_renyi(
     """G(n, p), optionally retried until connected."""
     if not 0.0 < p <= 1.0:
         raise ValueError(f"p must be in (0, 1], got {p}")
+    import networkx as nx
+
     attempts = 100 if ensure_connected else 1
     for _ in range(attempts):
         seed = rng.uniform_int(0, 2**31 - 1)

@@ -15,14 +15,16 @@ on bipartite graphs like the hypercube) never spoils convergence.
 from __future__ import annotations
 
 import math
+from typing import TYPE_CHECKING
 
 import numpy as np
-import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 from repro.network.graphs import as_explicit
 from repro.network.topology import ExplicitTopology, Topology
 from repro.util.rng import RandomSource
+
+if TYPE_CHECKING:
+    import scipy.sparse as sp
 
 __all__ = [
     "RandomWalk",
@@ -36,6 +38,8 @@ __all__ = [
 
 def lazy_transition_matrix(topology: Topology) -> sp.csr_matrix:
     """Row-stochastic lazy transition matrix P = (I + D⁻¹A)/2."""
+    import scipy.sparse as sp
+
     explicit = as_explicit(topology)
     n = explicit.n
     rows, cols, values = [], [], []
@@ -68,6 +72,9 @@ def spectral_gap(topology: Topology) -> float:
     applies.  All lazy-walk eigenvalues lie in [0, 1], so the gap is positive
     for connected graphs.
     """
+    import scipy.sparse as sp
+    import scipy.sparse.linalg as spla
+
     explicit = as_explicit(topology)
     n = explicit.n
     transition = lazy_transition_matrix(explicit)

@@ -18,6 +18,7 @@ holds here for the same reason it holds on a quantum computer.
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -43,11 +44,14 @@ def eigenphase_turns(t: int, N: int) -> float:
     return theta / math.pi
 
 
+@functools.lru_cache(maxsize=256)
 def qpe_distribution(omega: float, P: int) -> np.ndarray:
     """Exact P-point phase-estimation outcome distribution for phase ω.
 
     Entry y holds Pr[measure y] = |sin(πPδ_y) / (P sin(πδ_y))|² with
     δ_y = ω − y/P (taken modulo 1); when δ_y is an integer the kernel is 1.
+    Results are memoized (a sweep asks for a handful of distinct (ω, P)
+    pairs thousands of times) and therefore returned read-only.
     """
     if P < 1:
         raise ValueError(f"P must be >= 1, got {P}")
@@ -64,6 +68,7 @@ def qpe_distribution(omega: float, P: int) -> np.ndarray:
     total = probabilities.sum()
     if not math.isclose(total, 1.0, rel_tol=1e-9):
         probabilities = probabilities / total
+    probabilities.flags.writeable = False
     return probabilities
 
 

@@ -155,6 +155,13 @@ def resolve_jobs(jobs: int | None) -> int:
     return jobs
 
 
+def import_protocol_stack() -> None:
+    """Load the lazily imported protocol drivers, so forked workers inherit them."""
+    import repro.classical  # noqa: F401
+    import repro.core  # noqa: F401
+    import repro.quantum  # noqa: F401
+
+
 def fan_out(fn, tasks: list, jobs: int | None = 1) -> list:
     """Map ``fn`` over ``tasks``, preserving order, optionally in processes.
 
@@ -173,6 +180,7 @@ def fan_out(fn, tasks: list, jobs: int | None = 1) -> list:
     context = (
         multiprocessing.get_context("fork") if sys.platform == "linux" else None
     )
+    import_protocol_stack()
     chunksize = max(1, len(tasks) // (jobs * 4))
     with ProcessPoolExecutor(max_workers=jobs, mp_context=context) as pool:
         return list(pool.map(fn, tasks, chunksize=chunksize))

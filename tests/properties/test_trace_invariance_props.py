@@ -19,8 +19,8 @@ from hypothesis import strategies as st
 from repro.runtime import ResultStore, Scenario, TopologySpec, run_scenario
 from repro.telemetry import reset_metrics, reset_telemetry, set_profiling, set_trace_path
 
-#: (protocol, topology family, adversary spec text or None).  lcr is
-#: batch-capable so node_api picks the dispatch path; hs is scalar-only.
+#: (protocol, topology family, adversary spec text or None).  lcr and hs
+#: are both batch-native, so node_api picks the dispatch path for each.
 CONFIGS = [
     ("le-ring/lcr", "cycle", None),
     ("le-ring/lcr", "cycle", "drop=0.05,seed=7"),

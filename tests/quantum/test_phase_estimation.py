@@ -57,6 +57,19 @@ class TestQPEDistribution:
         with pytest.raises(ValueError):
             qpe_distribution(0.1, 0)
 
+    def test_memoized_read_only_and_exact(self):
+        omega, P = 0.3183, 48
+        first = qpe_distribution(omega, P)
+        hits = qpe_distribution.cache_info().hits
+        assert qpe_distribution(omega, P) is first
+        assert qpe_distribution.cache_info().hits == hits + 1
+        assert not first.flags.writeable
+        with pytest.raises(ValueError):
+            first[0] = 1.0
+        delta = omega - np.arange(P) / P
+        closed_form = (np.sin(np.pi * P * delta) / (P * np.sin(np.pi * delta))) ** 2
+        np.testing.assert_allclose(first, closed_form, rtol=1e-12, atol=1e-15)
+
 
 class TestCountingEstimate:
     def test_decoder_formula(self):
