@@ -156,7 +156,14 @@ def resolve_jobs(jobs: int | None) -> int:
 
 
 def import_protocol_stack() -> None:
-    """Load the lazily imported protocol drivers, so forked workers inherit them."""
+    """Load the lazily imported protocol drivers, so forked workers inherit them.
+
+    ``numpy.random`` (every :class:`~repro.util.rng.RandomSource`) and
+    ``numpy.ma`` (``np.unique``) are numpy submodules loaded on first
+    attribute access; without them here each fresh worker pays for both.
+    """
+    import numpy.ma  # noqa: F401
+    import numpy.random  # noqa: F401
     import repro.classical  # noqa: F401
     import repro.core  # noqa: F401
     import repro.quantum  # noqa: F401
