@@ -307,9 +307,10 @@ def _million_hs(kernel: str, max_rounds: int = 48):
 def _million_kpp(kernel: str, candidates: int = 16):
     """K_1e6 KPP, full four-round trial with directly seeded candidates.
 
-    The driver's per-node candidate lottery is Θ(n) Python-loop setup, so
-    the bench seeds exactly ``candidates`` candidate nodes (with real RNG
-    streams for their referee draws) and runs the engine end to end.
+    The driver cannot run at this size: its n⁴ ranks overflow the int64
+    ``rank`` column once n ≥ ~55k.  So the bench seeds exactly
+    ``candidates`` candidate nodes (with real RNG streams for their
+    referee draws) and runs the engine end to end.
     """
     n = MILLION
     topology = CompleteTopology(n)

@@ -420,10 +420,11 @@ def classical_agreement_engine(
     schedule = _Schedule.build(n, shared_coin, epsilon, inform_width)
     node_rngs = rng.spawn_many(n)
     probability = candidate_probability(n)
-    is_candidate = [node_rngs[v].bernoulli(probability) for v in range(n)]
     if wants_batch_dispatch(node_api):
+        is_candidate = node_rngs.bernoulli(probability).tolist()
         program = _AMP18Batch(schedule, node_rngs, inputs, is_candidate)
     else:
+        is_candidate = [node_rngs[v].bernoulli(probability) for v in range(n)]
         program = [
             _AMP18Node(
                 v, n - 1, node_rngs[v], schedule, inputs[v], is_candidate[v]

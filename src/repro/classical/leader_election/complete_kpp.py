@@ -124,13 +124,16 @@ class _KPPBatch(BatchProtocol):
         self.best_seen = np.zeros(n, dtype=np.int64)
 
     def start(self, probability: float, space: int) -> int:
-        """Candidate/rank draws, mirroring ``_KPPNode.start`` per stream."""
-        for v in range(self.n):
-            if self.rngs[v].bernoulli(probability):
-                self.is_candidate[v] = True
-                self.rank[v] = self.rngs[v].uniform_int(1, space)
-            else:
-                self.status_codes[v] = STATUS_NON_ELECTED
+        """Candidate/rank draws, bit-identical to ``_KPPNode.start`` per stream.
+
+        Every node's candidate flip is one vectorized first draw over the
+        :class:`~repro.util.rng.NodeStreams`; only candidates then draw a
+        rank from their own stream.
+        """
+        self.is_candidate[:] = self.rngs.bernoulli(probability)
+        self.status_codes[~self.is_candidate] = STATUS_NON_ELECTED
+        for v in np.flatnonzero(self.is_candidate).tolist():
+            self.rank[v] = self.rngs[v].uniform_int(1, space)
         return int(np.count_nonzero(self.is_candidate))
 
     def step_batch(self, round_index, inbox):

@@ -27,7 +27,6 @@ from repro.network.batch import (
 )
 from repro.network.engine import SynchronousEngine
 from repro.network.graphs import cycle
-from repro.network.kernels import get_kernels
 from repro.network.message import Message
 from repro.network.metrics import MetricsRecorder
 from repro.network.node import Node, Status
@@ -108,9 +107,9 @@ class _LCRBatch(BatchProtocol):
     """Array-native Chang–Roberts: the whole ring advances per numpy call.
 
     State is three columns (``ring_id``, ``cw_port``, inherited
-    ``status_codes``/``halted``); each round reduces the inbox groups with
-    ``np.maximum.at`` and emits at most one message per node — the same
-    per-port collapse the scalar :class:`_LCRNode` performs, expressed
+    ``status_codes``/``halted``); each round reduces the inbox's receiver
+    groups with ``reduceat`` and emits at most one message per node — the
+    same per-port collapse the scalar :class:`_LCRNode` performs, expressed
     once over all nodes.  Trace-identical to the scalar implementation
     (same RNG draws, same canonical send order, same CONGEST collapse
     priorities), which the parity property tests assert bit-for-bit.
@@ -119,14 +118,12 @@ class _LCRBatch(BatchProtocol):
     def __init__(self, topology, ring_ids: list[int]):
         n = topology.n
         super().__init__(n)
-        self.kernels = get_kernels()
         self.ring_id = np.asarray(ring_ids, dtype=np.int64)
         self.cw_port = np.asarray(
             [topology.port_to(v, (v + 1) % n) for v in range(n)], dtype=np.int64
         )
 
     def step_batch(self, round_index, inbox):
-        n = self.n
         if round_index == 0:
             # Every alive node opens with its own id clockwise ("started").
             senders = np.nonzero(~self.halted)[0]
@@ -138,58 +135,56 @@ class _LCRBatch(BatchProtocol):
             )
         if not len(inbox):
             return None
-        rec = inbox.receivers
+        # Work over the inbox rows, not all n nodes: late rounds carry a
+        # handful of messages on an n-ring.
+        nodes = inbox.receivers
+        values = inbox.values
         probe = inbox.kinds == _LCR_PROBE
-        halt = inbox.kinds == _LCR_HALT
-        own = probe & (inbox.values == self.ring_id[rec])
-        any_own = np.zeros(n, dtype=bool)
-        any_own[rec[own]] = True
-        any_halt = np.zeros(n, dtype=bool)
-        any_halt[rec[halt]] = True
-        greater = probe & (inbox.values > self.ring_id[rec])
-        best = np.full(n, -1, dtype=np.int64)
-        self.kernels.scatter_max(best, rec[greater], inbox.values[greater])
+        any_halt = inbox.kinds == _LCR_HALT
+        own_id = self.ring_id[nodes]
+        any_own = probe & (values == own_id)
+        best = np.where(probe & (values > own_id), values, -1)
         # The scalar per-port collapse keeps the *last* halt a node
         # appended; track each receiver's last inbound halt position.
-        last_halt = np.full(n, -1, dtype=np.int64)
-        self.kernels.scatter_max(
-            last_halt, rec[halt], np.arange(len(inbox))[halt]
-        )
-        entering_elected = self.status_codes == STATUS_ELECTED
+        last_halt = np.where(any_halt, np.arange(len(nodes)), -1)
+        distinct = nodes[1:] != nodes[:-1]
+        if not distinct.all():
+            # Delays and duplicates can stack one node's inbox: reduce each
+            # receiver group (the inbox is sorted by receiver).
+            starts = np.flatnonzero(np.concatenate(([True], distinct)))
+            nodes = nodes[starts]
+            any_own = np.logical_or.reduceat(any_own, starts)
+            any_halt = np.logical_or.reduceat(any_halt, starts)
+            best = np.maximum.reduceat(best, starts)
+            last_halt = np.maximum.reduceat(last_halt, starts)
+        entering_elected = self.status_codes[nodes] == STATUS_ELECTED
         # Status transitions (ELECTED absorbs within a round, exactly as
         # the scalar message loop behaves for any inbox interleaving).
-        self.status_codes[any_own] = STATUS_ELECTED
-        self.status_codes[any_halt & ~entering_elected & ~any_own] = (
+        self.status_codes[nodes[any_own]] = STATUS_ELECTED
+        self.status_codes[nodes[any_halt & ~entering_elected & ~any_own]] = (
             STATUS_NON_ELECTED
         )
         # Outgoing message per node after the CONGEST collapse: a halt
         # with the node's own id when its probe returned, else the last
         # forwarded halt, else the strongest bigger probe — and an
         # already-elected node only ever re-announces its own halt.
-        halt_own = any_own
-        halt_fwd = ~any_own & ~entering_elected & any_halt
-        probe_out = (
-            ~any_own & ~entering_elected & ~any_halt & (best >= 0)
-        )
-        senders = np.nonzero(halt_own | halt_fwd | probe_out)[0]
-        self.halted |= any_halt
-        if not len(senders):
+        quiet = ~any_own & ~entering_elected
+        halt_fwd = quiet & any_halt
+        probe_out = quiet & ~any_halt & (best >= 0)
+        self.halted[nodes[any_halt]] = True
+        emit = any_own | halt_fwd | probe_out
+        if not emit.any():
             return None
-        kinds = np.where(probe_out[senders], _LCR_PROBE, _LCR_HALT)
-        values = np.where(
-            halt_own[senders],
-            self.ring_id[senders],
-            np.where(
-                halt_fwd[senders],
-                inbox.values[last_halt[senders]],
-                best[senders],
-            ),
-        )
+        senders = nodes[emit]
         return MessageBatch(
             senders=senders,
             ports=self.cw_port[senders],
-            kinds=kinds,
-            values=values,
+            kinds=np.where(probe_out[emit], _LCR_PROBE, _LCR_HALT),
+            values=np.where(
+                any_own[emit],
+                self.ring_id[senders],
+                np.where(halt_fwd[emit], values[last_halt[emit]], best[emit]),
+            ),
         )
 
 
@@ -219,10 +214,11 @@ def lcr_ring(
     )
     node_rngs = rng.spawn_many(n)
     space = rank_space(n)
-    ids = [node_rngs[v].uniform_int(1, space) for v in range(n)]
     if wants_batch_dispatch(node_api):
+        ids = node_rngs.uniform_int(1, space).tolist()
         program = _LCRBatch(topology, ids)
     else:
+        ids = [node_rngs[v].uniform_int(1, space) for v in range(n)]
         program = [
             _LCRNode(v, 2, node_rngs[v], ids[v], _ring_ports(topology, v)[0])
             for v in range(n)
@@ -545,10 +541,11 @@ def hirschberg_sinclair_ring(
     )
     node_rngs = rng.spawn_many(n)
     space = rank_space(n)
-    ids = [node_rngs[v].uniform_int(1, space) for v in range(n)]
     if wants_batch_dispatch(node_api):
+        ids = node_rngs.uniform_int(1, space).tolist()
         program = _HSBatch(topology, ids)
     else:
+        ids = [node_rngs[v].uniform_int(1, space) for v in range(n)]
         program = []
         for v in range(n):
             cw, ccw = _ring_ports(topology, v)

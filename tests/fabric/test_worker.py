@@ -28,7 +28,10 @@ class TestRngDerivation:
 
     def test_slices_are_disjoint_and_ordered(self, make_scenario):
         # Concatenating every shard's slice reproduces the runner's flat
-        # spawn sequence: same child at the same flat index, draw for draw.
+        # spawn sequence: same child at the same flat index, draw for draw,
+        # and the lazy slices equal eagerly spawned children.
+        import numpy as np
+
         from repro.util.rng import RandomSource
 
         scenario = make_scenario()
@@ -36,9 +39,13 @@ class TestRngDerivation:
         for position in range(len(scenario.sizes)):
             flat.extend(shard_trial_rngs(scenario, position))
         reference = RandomSource(scenario.seed).spawn_many(len(flat))
+        eager = np.random.SeedSequence(scenario.seed).spawn(len(flat))
         assert len(flat) == len(scenario.sizes) * scenario.trials
-        for sliced, direct in zip(flat, reference):
+        for sliced, direct, sequence in zip(flat, reference, eager):
             assert sliced.generator.random() == direct.generator.random()
+            oracle = RandomSource(sequence)
+            oracle.generator.random()
+            assert sliced.uniform_int(1, 2**40) == oracle.uniform_int(1, 2**40)
 
 
 class TestWorkerLoop:
