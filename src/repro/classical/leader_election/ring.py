@@ -147,16 +147,14 @@ class _LCRBatch(BatchProtocol):
         # The scalar per-port collapse keeps the *last* halt a node
         # appended; track each receiver's last inbound halt position.
         last_halt = np.where(any_halt, np.arange(len(nodes)), -1)
-        distinct = nodes[1:] != nodes[:-1]
-        if not distinct.all():
-            # Delays and duplicates can stack one node's inbox: reduce each
-            # receiver group (the inbox is sorted by receiver).
-            starts = np.flatnonzero(np.concatenate(([True], distinct)))
-            nodes = nodes[starts]
-            any_own = np.logical_or.reduceat(any_own, starts)
-            any_halt = np.logical_or.reduceat(any_halt, starts)
-            best = np.maximum.reduceat(best, starts)
-            last_halt = np.maximum.reduceat(last_halt, starts)
+        # Delays and duplicates can stack one node's inbox: reduce each
+        # receiver group (the inbox is sorted by receiver).
+        starts = np.flatnonzero(np.concatenate(([True], nodes[1:] != nodes[:-1])))
+        nodes = nodes[starts]
+        any_own = np.logical_or.reduceat(any_own, starts)
+        any_halt = np.logical_or.reduceat(any_halt, starts)
+        best = np.maximum.reduceat(best, starts)
+        last_halt = np.maximum.reduceat(last_halt, starts)
         entering_elected = self.status_codes[nodes] == STATUS_ELECTED
         # Status transitions (ELECTED absorbs within a round, exactly as
         # the scalar message loop behaves for any inbox interleaving).

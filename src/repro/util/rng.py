@@ -138,17 +138,10 @@ _PCG_MULT_SQUARED = _PCG_MULT * _PCG_MULT % (1 << 128)
 _TWO_POW_MINUS_53 = 1.0 / (1 << 53)
 #: Rows per vectorized pass: bounds the temporaries at n = 10^6.
 _CHUNK = 1 << 16
-#: The vectorized pass has a fixed cost of about 0.2 ms, the price of ~16
-#: per-child generators.  Callers that go on to build most children anyway
-#: (candidate lotteries at small n, where p = 12·ln(n)/n is near 1) only
-#: break even around n = 64, so smaller spawns draw child by child.
-_MIN_VECTOR_ROWS = 64
 
 
 def _uint32_words(value) -> list[int]:
     """SeedSequence's coercion of entropy or a spawn key to uint32 words."""
-    if isinstance(value, str):
-        value = int(value, 16) if value.startswith("0x") else int(value)
     if isinstance(value, (int, np.integer)):
         value = int(value)
         if value < 0:
@@ -403,11 +396,7 @@ class NodeStreams:
         out = np.empty(self._count, dtype=dtype)
         fallback: list[int] | range = []
         # The vectorized hash assumes every child index is one uint32 word.
-        if (
-            rows is not None
-            and _MIN_VECTOR_ROWS <= self._count
-            and self._start + self._count <= 1 << 32
-        ):
+        if rows is not None and self._start + self._count <= 1 << 32:
             pool, consts = _pool_before_last_word(
                 self._entropy, self._spawn_key, self._pool_size
             )

@@ -15,7 +15,6 @@ Two layers of parity, each with and without an adversary (drop + crash):
 
 import os
 
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -31,7 +30,7 @@ from repro.network.engine import SynchronousEngine
 from repro.network.message import Message
 from repro.network.metrics import MetricsRecorder
 from repro.network.node import Node
-from repro.util.rng import _MIN_VECTOR_ROWS, RandomSource
+from repro.util.rng import RandomSource
 
 #: The ≥5 topology families the adapter parity property sweeps.
 FAMILIES = {
@@ -309,41 +308,3 @@ def test_amp18_engine_batch_parity(seed, n, ones, adversary):
     assert fast == reference
     assert fast == batch
 
-
-#: From this size on the batch drivers take every node's first coin from
-#: ``NodeStreams``' vectorized pass, while the scalar oracles keep drawing
-#: it per stream; the properties above stay below it.
-VECTOR_N = 96
-
-
-@pytest.mark.parametrize(
-    "adversary", [None, AdversarySpec(drop_rate=0.05, delay_rate=0.1)]
-)
-@pytest.mark.parametrize("protocol", ["lcr", "hs", "kpp", "cpr", "amp18"])
-def test_vectorized_first_draw_parity(protocol, adversary):
-    assert VECTOR_N >= _MIN_VECTOR_ROWS
-    inputs = [v % 2 for v in range(VECTOR_N)]
-    runs = {
-        "lcr": lambda rng, api: lcr_ring(
-            VECTOR_N, rng, adversary=adversary, node_api=api
-        ),
-        "hs": lambda rng, api: hirschberg_sinclair_ring(
-            VECTOR_N, rng, adversary=adversary, node_api=api
-        ),
-        "kpp": lambda rng, api: classical_le_complete(
-            VECTOR_N, rng, adversary=adversary, node_api=api
-        ),
-        "cpr": lambda rng, api: classical_le_diameter2(
-            graphs.wheel(VECTOR_N), rng, adversary=adversary, node_api=api
-        ),
-        "amp18": lambda rng, api: classical_agreement_engine(
-            list(inputs), rng, adversary=adversary, node_api=api
-        ),
-    }
-    snapshot = _agreement_snapshot if protocol == "amp18" else _le_snapshot
-    for seed in range(3):
-        scalar, batch = (
-            snapshot(runs[protocol](RandomSource(seed), api))
-            for api in ("scalar", "batch")
-        )
-        assert scalar == batch
