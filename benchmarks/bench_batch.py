@@ -2,13 +2,14 @@
 
 Runs the three array-native protocol ports end-to-end — ring LCR on
 C_4096, [KPP+15b] LE and the engine-driven [AMP18] agreement on K_1024 —
-under all three dispatch paths:
+in three modes:
 
-* ``batch``            — the ``step_batch`` array path (one numpy call per
-  round, no per-node dispatch, no Message objects);
-* ``scalar-fast``      — legacy ``Node.step`` per node on the vectorized
-  routing backend (PR 2's fast path);
-* ``scalar-reference`` — the one-message-at-a-time oracle loop.
+* ``batch``            — the native ``BatchProtocol`` port (one numpy call
+  per round, no per-node dispatch, no Message objects);
+* ``scalar-fast``      — the ``Node`` list on the same production loop,
+  stepped per node through ``ScalarAdapter``;
+* ``scalar-reference`` — the ``Node`` list on the one-message-at-a-time
+  oracle loop.
 
 Every mode runs the *same* seeded trial, and the bench asserts the
 results are bit-identical before it reports a single number — the

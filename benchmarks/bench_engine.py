@@ -2,7 +2,9 @@
 
 Drives a deterministic gossip workload over K_n, the 2-D torus, and a
 random-regular expander at n ∈ {256, 1024, 4096}, and records rounds/sec
-and messages/sec per backend plus the fast/reference speedup.
+and messages/sec per backend plus the fast/reference speedup.  ``fast``
+is the production batch loop (the gossip node list runs through
+``ScalarAdapter``); ``reference`` is the oracle loop.
 
 The workload isolates *engine* overhead — routing, delivery, CONGEST
 accounting — from protocol-side allocation: every node pre-builds one

@@ -3,8 +3,9 @@
 Walks the EXPERIMENTS.md migration recipe on a minimal protocol —
 max-id flooding on a cycle (every node repeatedly broadcasts the largest
 id it has heard; after n rounds everyone knows the maximum) — then shows
-the same `--node-api` switch on a shipped port (ring LCR) and the
-`ScalarAdapter` escape hatch for unported protocols.
+the same `--node-api` switch on a shipped port (ring LCR).  A node list
+runs on the same batch loop as the port: the engine wraps it in
+`ScalarAdapter`.
 
 Run with:  PYTHONPATH=src python examples/batch_protocol_demo.py
 """
@@ -15,7 +16,7 @@ import numpy as np
 
 from repro.classical.leader_election.ring import lcr_ring
 from repro.network import graphs
-from repro.network.batch import BatchProtocol, MessageBatch, ScalarAdapter
+from repro.network.batch import BatchProtocol, MessageBatch
 from repro.network.engine import SynchronousEngine
 from repro.network.message import Message
 from repro.network.metrics import MetricsRecorder
@@ -96,7 +97,7 @@ def run_flood(topology, mode):
             FloodNode(v, topology.degree(v), rng.spawn(), deadline)
             for v in range(topology.n)
         ]
-        program = ScalarAdapter(nodes) if mode == "adapter" else nodes
+        program = nodes
     engine = SynchronousEngine(topology, program, metrics, label="flood")
     start = time.perf_counter()
     engine.run(max_rounds=deadline + 1)
@@ -104,7 +105,7 @@ def run_flood(topology, mode):
     if mode == "batch":
         best = program.best.tolist()
     else:
-        best = [n.best for n in (program.nodes if mode == "adapter" else program)]
+        best = [n.best for n in program]
     return best, metrics.messages, metrics.rounds, elapsed
 
 
@@ -112,7 +113,7 @@ def main():
     topology = graphs.cycle(512)
     print(f"max-id flood on C_{topology.n}:")
     baseline = None
-    for mode in ("scalar", "adapter", "batch"):
+    for mode in ("scalar", "batch"):
         best, messages, rounds, elapsed = run_flood(topology, mode)
         assert all(b == topology.n - 1 for b in best)
         if baseline is None:

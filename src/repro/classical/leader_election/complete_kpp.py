@@ -75,7 +75,10 @@ class _KPPNode(Node):
         if round_index == 1:
             for port, message in inbox:
                 self.best_seen = max(self.best_seen, message.payload)
-                self.senders.append(port)
+            # One reply per distinct arrival port: a duplicating adversary
+            # can deliver the same probe twice, and CONGEST allows one
+            # message per port per round.
+            self.senders = list(dict.fromkeys(port for port, _ in inbox))
             return [
                 (port, Message("best", payload=self.best_seen))
                 for port in self.senders
@@ -158,10 +161,13 @@ class _KPPBatch(BatchProtocol):
                 return None
             rec = inbox.receivers
             self.kernels.scatter_max(self.best_seen, rec, inbox.values)
+            # One reply per distinct arrival port, as in the scalar node.
+            replies = inbox.first_per_port()
+            rec = replies.receivers
             return MessageBatch(
                 senders=rec,
-                ports=inbox.ports,
-                kinds=np.full(len(inbox), _KPP_BEST, dtype=np.int64),
+                ports=replies.ports,
+                kinds=np.full(len(replies), _KPP_BEST, dtype=np.int64),
                 values=self.best_seen[rec],
             )
         if round_index == 2:

@@ -1643,6 +1643,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _repro_env() -> dict[str, str]:
+    return {
+        key: value for key, value in os.environ.items() if key.startswith("REPRO_")
+    }
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
@@ -1650,4 +1656,13 @@ def main(argv: list[str] | None = None) -> int:
         from repro.telemetry import configure_logging
 
         configure_logging(args.log_level)
-    return args.handler(args)
+    # Handlers export their flags as REPRO_* env vars so forked workers
+    # inherit them; restore the caller's values once the command returns,
+    # so an in-process call leaves no setting behind for the next one.
+    saved = _repro_env()
+    try:
+        return args.handler(args)
+    finally:
+        for key in _repro_env().keys() - saved.keys():
+            del os.environ[key]
+        os.environ.update(saved)

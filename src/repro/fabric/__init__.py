@@ -11,8 +11,8 @@ v4).  Idempotent shards + atomic lease files make any sweep resumable
 after worker crashes: a dead worker's lease expires and the shard is
 re-issued; duplicate completions write byte-identical files.
 
-The fleet dogfoods the repo's own protocols: the lease reaper is elected
-by simulating the registry's ring LCR over the live workers (see
+The lease reaper is a deterministic hash of the job identity onto the
+sorted live workers, so every worker computes the same one locally (see
 :mod:`repro.fabric.coordinator`).
 
 Serial, process-pool, and fabric execution of the same grid produce

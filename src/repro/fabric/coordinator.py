@@ -1,15 +1,11 @@
 """Fleet coordination: leader election, shard assignment, supervised sweeps.
 
-The fabric dogfoods the repo: the reaper (the worker allowed to break an
-expired lease the moment it expires) is chosen by running the registry's
-own ring LCR protocol (``le-ring/lcr``) on a cycle of the live workers.
-Because the election is a *deterministic simulation* — seeded from the
-job identity and the sorted live-worker set — every worker runs it
-locally and arrives at the same leader with zero extra communication,
-which is exactly the shared-randomness trick the scenario runtime is
-built on.  The same elected view drives shard assignment: each worker
-prefers the shard positions strided to its rank and steals the rest only
-when its own range is exhausted.
+The reaper (the worker allowed to break an expired lease the moment it
+expires) is a pure function of the job identity and the sorted
+live-worker set, so every worker computes it locally and arrives at the
+same choice with zero extra communication.  The same view of the fleet
+drives shard assignment: each worker prefers the shard positions strided
+to its rank and steals the rest only when its own range is exhausted.
 
 Coordination is advisory everywhere: two workers with momentarily
 different views of the fleet at worst both execute a shard, and the
@@ -44,12 +40,6 @@ __all__ = [
     "shard_preference",
 ]
 
-#: Election memo: (job identity, worker tuple) → elected worker.  The
-#: election is a pure function of its inputs, so caching cannot change
-#: the result — it only skips re-simulating LCR once per claim attempt.
-_ELECTION_MEMO: dict[tuple, str] = {}
-
-
 def _election_seed(scenario: Scenario, workers: tuple[str, ...]) -> int:
     digest = hashlib.sha256(
         json.dumps(
@@ -64,12 +54,10 @@ def elect_reaper(
 ) -> str | None:
     """The worker entitled to reap expired leases immediately.
 
-    With three or more live workers this runs the registry's ring LCR on
-    ``C_len(workers)`` — real CONGEST messages through the engine, the
-    protocol this repo reproduces — and maps the elected node index onto
-    the sorted worker list.  Fewer than three workers (LCR needs a cycle,
-    and a cycle needs n ≥ 3) degenerate to "highest id wins", which is
-    the LCR winner condition anyway.
+    With three or more live workers this hashes the job identity and the
+    sorted worker list (:func:`_election_seed`) onto one of them, so the
+    choice is deterministic and independent of enumeration order.  Fewer
+    than three workers keep "highest id wins".
     """
     workers = (
         queue.live_workers() if workers is None else sorted(workers)
@@ -78,27 +66,8 @@ def elect_reaper(
         return None
     if len(workers) < 3:
         return workers[-1]
-    scenario = queue.scenario()
-    key = (scenario.name, scenario.seed, tuple(workers))
-    cached = _ELECTION_MEMO.get(key)
-    if cached is not None:
-        return cached
-    from repro.network import graphs
-    from repro.runtime.registry import default_registry
-    from repro.util.rng import RandomSource
-
-    outcome = default_registry().get("le-ring/lcr").run(
-        graphs.cycle(len(workers)),
-        RandomSource(_election_seed(scenario, tuple(workers))),
-    )
-    leader = outcome.detail.get("leader")
-    if not outcome.success or leader is None:
-        elected = workers[-1]  # fault-free LCR always elects; belt and braces
-    else:
-        elected = workers[int(leader) % len(workers)]
-    if len(_ELECTION_MEMO) > 128:
-        _ELECTION_MEMO.clear()
-    _ELECTION_MEMO[key] = elected
+    seed = _election_seed(queue.scenario(), tuple(workers))
+    elected = workers[seed % len(workers)]
     logger.debug("elected reaper %s over %d live workers", elected, len(workers))
     return elected
 

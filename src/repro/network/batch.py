@@ -1,27 +1,24 @@
 """Array-native protocol contract: struct-of-arrays node state, one call per round.
 
-The scalar :class:`~repro.network.node.Node` API crosses the numpy/Python
-boundary once per node per round — ``step`` takes and returns ``(port,
-Message)`` tuple lists, so on the fast backend every round still
-materializes Θ(messages) Python objects even though *routing* is fully
-vectorized.  This module is the opt-in alternative: a
-:class:`BatchProtocol` owns its whole network's state as numpy arrays
-(struct-of-arrays) and advances one synchronous round with a single call
+The engine's production loop advances the whole network one synchronous
+round with a single call
 
     ``step_batch(round_index, inbox) -> outbox``
 
-over *all alive nodes at once*, where inbox and outbox use the engine's
-batched :class:`MessageBatch` representation — parallel ``(senders, ports,
-kinds, values)`` int64 columns, the same arrays the fast backend's routing
-gathers already operate on.  No per-node dispatch, no tuple
-materialization, no ``Message`` objects on the wire.
+over *all alive nodes at once*, where inbox and outbox use the batched
+:class:`MessageBatch` representation — parallel ``(senders, ports,
+kinds, values)`` int64 columns, the same arrays the engine's port-table
+routing gathers operate on.  A :class:`BatchProtocol` owns its whole
+network's state as numpy arrays (struct-of-arrays), so its rounds need no
+per-node dispatch, no tuple materialization and no ``Message`` objects on
+the wire.
 
 Contracts a ``step_batch`` implementation must honour (the engine checks
 the cheap ones):
 
 * **canonical send order** — outbox rows sorted by sender ascending, and
   within one sender in the node's emission order.  This is the exact
-  order both scalar backends flatten each round's sends into, so fault
+  order the reference loop flattens each round's sends into, so fault
   masks drawn by an :class:`~repro.adversary.armed.ArmedAdversary`
   consume identical random streams and batch trials stay bit-identical
   to scalar ones;
@@ -30,23 +27,22 @@ the cheap ones):
   ``halt()``), but a node halted *before* the round must not appear as a
   sender;
 * **one message per port per round** — the CONGEST constraint, validated
-  by the engine exactly as on the scalar paths.
+  by the engine exactly as in the reference loop.
 
 Inbox batches arrive sorted by ``receivers`` ascending with the canonical
 order preserved inside each receiver's group — identical to the per-inbox
-append order of the scalar backends — and never contain rows addressed to
+append order of the reference loop — and never contain rows addressed to
 halted nodes (the engine drops those first, with the same accounting as
-the scalar paths; see :meth:`~repro.network.node.Node.halt`).
+the reference loop; see :meth:`~repro.network.node.Node.halt`).
 
-:class:`ScalarAdapter` closes the loop in the other direction: it wraps
-any legacy list of :class:`~repro.network.node.Node` instances behind the
-``step_batch`` contract (arrays → tuples → ``step`` → tuples → arrays), so
-the engine needs only the one uniform program interface.  It is a
-*library-level* escape hatch — construct it directly to drive an
-unported protocol through the batch dispatch path; the registry's
-``--node-api batch`` remains an explicit capability request and is
-rejected for protocols without an array-native port (``auto``/``scalar``
-pick the scalar path there).
+:class:`ScalarAdapter` is the production path for scalar protocols: it
+wraps a list of :class:`~repro.network.node.Node` instances behind the
+``step_batch`` contract (arrays → tuples → ``step`` → tuples → arrays),
+and the engine wraps every node list it is given in one, so there is a
+single production loop.  The registry's ``--node-api batch`` remains an
+explicit capability request and is rejected for protocols without an
+array-native port (``auto``/``scalar`` pick the scalar implementation
+there).
 """
 
 from __future__ import annotations
@@ -214,6 +210,22 @@ class MessageBatch:
             receivers=None if self.receivers is None else self.receivers[idx],
         )
 
+    def first_per_port(self) -> "MessageBatch":
+        """The inbox rows with distinct ``(receivers, ports)``, first kept.
+
+        A receiver that answers on every arrival port sends one reply per
+        port this way even when an adversary delivered a message twice.
+        Row order is preserved; a batch without repeats is returned as is.
+        """
+        if len(self) < 2:
+            return self
+        key = self.receivers * (int(self.ports.max()) + 1) + self.ports
+        _, first = np.unique(key, return_index=True)
+        if len(first) == len(self):
+            return self
+        first.sort()
+        return self.take(first)
+
 
 class BatchProtocol(ABC):
     """Base class for array-native protocols: SoA state, one step per round.
@@ -281,16 +293,18 @@ class BatchProtocol(ABC):
 
 
 class ScalarAdapter(BatchProtocol):
-    """Drive legacy :class:`~repro.network.node.Node` lists through
+    """Drive :class:`~repro.network.node.Node` lists through
     :meth:`~BatchProtocol.step_batch`.
 
-    The adapter converts each inbox batch into per-node ``(port, Message)``
-    lists, calls every alive node's ``step`` in ascending node order
-    (exactly the scalar backends' schedule, so RNG consumption and send
-    order are preserved), and flattens the outboxes back into one batch in
-    canonical order.  It buys *uniformity*, not speed: per-node Python
-    dispatch still happens inside ``step_batch``.  Array-native protocols
-    subclass :class:`BatchProtocol` directly to skip it.
+    The adapter hands each node its ``(port, Message)`` inbox list, calls
+    every alive node's ``step`` in ascending node order (exactly the
+    reference loop's schedule, so RNG consumption and send order are
+    preserved), and flattens the outboxes back into one batch in
+    canonical order.  The engine wraps every node list in one, so scalar
+    protocols run on the same batch loop as array-native ones; per-node
+    Python dispatch still happens inside ``step_batch``, which
+    array-native protocols skip by subclassing :class:`BatchProtocol`
+    directly.
     """
 
     uses_messages = True
@@ -298,6 +312,10 @@ class ScalarAdapter(BatchProtocol):
     def __init__(self, nodes: list):
         super().__init__(len(nodes))
         self.nodes = nodes
+        #: One inbox list per node, kept across rounds and cleared after
+        #: the node steps (the engine's buffer-reuse convention: a node
+        #: that keeps its inbox beyond ``step`` must copy it).
+        self._boxes: list[list] = [[] for _ in nodes]
         for v, node in enumerate(nodes):
             if node.halted:
                 self.halted[v] = True
@@ -309,26 +327,30 @@ class ScalarAdapter(BatchProtocol):
     def step_batch(
         self, round_index: int, inbox: MessageBatch
     ) -> MessageBatch | None:
-        n = self.n
-        boxes: list[list] = [[] for _ in range(n)]
+        boxes = self._boxes
         if len(inbox):
             for receiver, port, message in zip(
                 inbox.receivers.tolist(), inbox.ports.tolist(), inbox.payloads
             ):
                 boxes[receiver].append((port, message))
+        halted = self.halted
         out_senders: list[int] = []
         out_ports: list[int] = []
         out_payloads: list = []
         for v, node in enumerate(self.nodes):
-            if self.halted[v]:
-                continue
-            outbox = node.step(round_index, boxes[v])
             if node.halted:
-                self.halted[v] = True
-            for port, message in outbox:
-                out_senders.append(v)
-                out_ports.append(port)
-                out_payloads.append(message)
+                continue
+            box = boxes[v]
+            outbox = node.step(round_index, box)
+            if box:
+                box.clear()
+            if node.halted:
+                halted[v] = True
+            if outbox:
+                for port, message in outbox:
+                    out_senders.append(v)
+                    out_ports.append(port)
+                    out_payloads.append(message)
         if not out_senders:
             return None
         return MessageBatch(

@@ -1,6 +1,6 @@
 """Compiled kernel tier for the engine's per-round array operations.
 
-The batch path (:meth:`SynchronousEngine._run_fast_batch`) spends its
+The batch loop (:meth:`SynchronousEngine._run_batch`) spends its
 rounds in a handful of array primitives: the routing gather through a
 :class:`~repro.network.porttable.PortTable`, the stable receiver sort
 that canonicalizes the inbox, and the per-protocol scatter folds

@@ -48,9 +48,10 @@ class Node:
     def halt(self) -> None:
         """Stop participating in the protocol from the next round on.
 
-        Halt semantics are identical across all three engine dispatch
-        paths (``fast``, ``reference``, and the batch path of
-        :class:`~repro.network.batch.BatchProtocol` programs):
+        Halt semantics are identical across both engine run loops (the
+        batch loop, which runs node lists through
+        :class:`~repro.network.batch.ScalarAdapter`, and the
+        ``reference`` loop):
 
         * messages returned by the *same* ``step`` call that halts are
           still sent (halting takes effect after the round's sends);

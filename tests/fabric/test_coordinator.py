@@ -1,4 +1,4 @@
-"""Coordination layer: LCR reaper election, strided assignment, collect."""
+"""Coordination layer: reaper election, strided assignment, collect."""
 
 import pytest
 
@@ -36,21 +36,6 @@ class TestElection:
         # result must not depend on enumeration order.
         assert elect_reaper(queue, list(reversed(fleet))) == first
         assert elect_reaper(queue, sorted(fleet)) == first
-
-    def test_election_runs_real_lcr(self, queue, monkeypatch):
-        # ≥3 workers must go through the registry's ring protocol, not a
-        # shortcut: poison the registry lookup and watch it propagate.
-        def boom():  # pragma: no cover - the call itself is the assertion
-            raise AssertionError("election bypassed the registry")
-
-        from repro.fabric import coordinator
-
-        coordinator._ELECTION_MEMO.clear()
-        monkeypatch.setattr(
-            "repro.runtime.registry.default_registry", boom
-        )
-        with pytest.raises(AssertionError, match="bypassed"):
-            elect_reaper(queue, ["a", "b", "c"])
 
 
 class TestAssignment:

@@ -70,6 +70,20 @@ class TestMessageBatch:
         assert taken.bits.tolist() == [16, 0]
         assert taken.receivers.tolist() == [5, 3]
 
+    def test_first_per_port_keeps_first_row_per_receiver_port(self):
+        batch = MessageBatch(
+            senders=[4, 4, 7, 4, 2],
+            ports=[1, 1, 0, 1, 1],
+            kinds=[0, 0, 0, 0, 0],
+            values=[10, 11, 12, 13, 14],
+            receivers=[0, 0, 0, 0, 3],
+        )
+        kept = batch.first_per_port()
+        assert kept.values.tolist() == [10, 12, 14]
+        assert kept.receivers.tolist() == [0, 0, 3]
+        unique = MessageBatch(senders=[1, 2], ports=[0, 1], receivers=[0, 0])
+        assert unique.first_per_port() is unique
+
     def test_columns_coerced_to_int64(self):
         batch = MessageBatch(senders=[0], ports=[1], kinds=[2], values=[3])
         for column in (batch.senders, batch.ports, batch.kinds, batch.values):
@@ -130,6 +144,30 @@ class TestScalarAdapter:
         assert adapter.statuses() == {v: Status.ELECTED for v in range(3)}
         assert adapter.decisions_dict() == {0: 1, 1: 1, 2: 1}
 
+    @pytest.mark.parametrize(
+        "backend, path", [("fast", "batch"), ("reference", "reference")]
+    )
+    def test_node_list_dispatch_path(self, backend, path):
+        class _Events:
+            enabled = True
+
+            def __init__(self):
+                self.starts = []
+
+            def emit(self, event, **fields):
+                if event == "engine_start":
+                    self.starts.append(fields["path"])
+
+        rng = RandomSource(0)
+        nodes = [_EchoNode(v, 2, rng.spawn()) for v in range(4)]
+        events = _Events()
+        engine = SynchronousEngine(
+            graphs.cycle(4), nodes, MetricsRecorder(), backend=backend,
+            tracer=events,
+        )
+        engine.run(max_rounds=3)
+        assert events.starts == [path]
+
     def test_pre_halted_nodes_never_step(self):
         rng = RandomSource(0)
         nodes = [_EchoNode(v, 2, rng.spawn()) for v in range(4)]
@@ -141,23 +179,6 @@ class TestScalarAdapter:
 
 
 class TestDeprecationShim:
-    def test_nodes_keyword_warns(self):
-        rng = RandomSource(0)
-        nodes = [_EchoNode(v, 2, rng.spawn()) for v in range(3)]
-        with pytest.warns(DeprecationWarning, match="registry"):
-            engine = SynchronousEngine(
-                graphs.cycle(3), metrics=MetricsRecorder(), nodes=nodes
-            )
-        assert engine.nodes is nodes
-
-    def test_nodes_keyword_and_program_conflict(self):
-        rng = RandomSource(0)
-        nodes = [_EchoNode(v, 2, rng.spawn()) for v in range(3)]
-        with pytest.raises(TypeError, match="not both"):
-            SynchronousEngine(
-                graphs.cycle(3), nodes, MetricsRecorder(), nodes=nodes
-            )
-
     def test_missing_program_is_an_error(self):
         with pytest.raises(TypeError, match="node program"):
             SynchronousEngine(graphs.cycle(3), metrics=MetricsRecorder())

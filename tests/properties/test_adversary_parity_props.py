@@ -129,10 +129,11 @@ def test_trace_equivalence_under_adversary(family, n, spec, seed):
 @settings(max_examples=20, deadline=None)
 @given(
     drop=st.sampled_from([0.05, 0.3]),
+    duplicate=st.sampled_from([0.0, 0.2]),
     crash=st.integers(min_value=0, max_value=2),
     seed=st.integers(min_value=0, max_value=2**31 - 1),
 )
-def test_protocol_trials_identical_across_backends(drop, crash, seed):
+def test_protocol_trials_identical_across_backends(drop, duplicate, crash, seed):
     """Full engine-driven protocol runs are bit-identical under faults.
 
     Covers four topology families end to end: K_n (KPP LE), cycles (LCR
@@ -140,7 +141,9 @@ def test_protocol_trials_identical_across_backends(drop, crash, seed):
     statuses, crashed sets, messages, rounds, and the fault-accounting
     meta all must match.
     """
-    spec = AdversarySpec(drop_rate=drop, crash_count=crash, crash_by=3)
+    spec = AdversarySpec(
+        drop_rate=drop, duplicate_rate=duplicate, crash_count=crash, crash_by=3
+    )
 
     def summary(result):
         return (

@@ -54,16 +54,6 @@ ADVERSARIES = [
     AdversarySpec(drop_rate=0.05, delay_rate=0.1, duplicate_rate=0.1),
 ]
 
-#: KPP's referees reply once per arrival port, so a duplicated rank makes
-#: the scalar protocol itself violate CONGEST (pre-existing) — its parity
-#: sweep keeps drop/delay/crash only.
-ADVERSARIES_NO_DUPLICATE = [
-    spec
-    for spec in ADVERSARIES
-    if spec is None or spec.duplicate_rate == 0
-]
-
-
 class _GossipNode(Node):
     """Deterministic multi-round chatter: fan out on half the ports, halt
     after a per-node deadline; retains everything it heard."""
@@ -184,7 +174,7 @@ def test_lcr_batch_parity(seed, n, adversary):
 @given(
     seed=st.integers(min_value=0, max_value=2**32 - 1),
     n=st.integers(min_value=4, max_value=32),
-    adversary=st.sampled_from(ADVERSARIES_NO_DUPLICATE),
+    adversary=st.sampled_from(ADVERSARIES),
 )
 def test_kpp_batch_parity(seed, n, adversary):
     def run(api):
@@ -214,8 +204,7 @@ def test_hs_batch_parity(seed, n, adversary):
     assert fast == batch
 
 
-#: CPR needs diameter ≤ 2; its referees (like KPP's) reply once per arrival
-#: port, so the duplicate adversary is excluded for the same reason.
+#: CPR needs diameter ≤ 2.
 CPR_FAMILIES = {
     "complete": graphs.complete,
     "star": graphs.star,
@@ -228,7 +217,7 @@ CPR_FAMILIES = {
     seed=st.integers(min_value=0, max_value=2**32 - 1),
     family=st.sampled_from(sorted(CPR_FAMILIES)),
     n=st.integers(min_value=4, max_value=16),
-    adversary=st.sampled_from(ADVERSARIES_NO_DUPLICATE),
+    adversary=st.sampled_from(ADVERSARIES),
 )
 def test_cpr_batch_parity(seed, family, n, adversary):
     topology = CPR_FAMILIES[family](n)

@@ -1,10 +1,11 @@
 """Property tests: telemetry observes, it never participates.
 
 For any engine-driven scenario configuration — fault-free or
-adversarial, on either engine backend and either node API — running
-with tracing and/or profiling enabled must leave every result artifact
-bit-identical to the bare run: the ``TrialSet`` aggregates, the
-content-addressed store keys (format v4), and the stored bytes.
+adversarial, on the production loop under either node API or on the
+reference oracle loop — running with tracing and/or profiling enabled
+must leave every result artifact bit-identical to the bare run: the
+``TrialSet`` aggregates, the content-addressed store keys (format v4),
+and the stored bytes.
 Telemetry draws from wall clocks only, never from a run RNG stream.
 """
 
@@ -27,6 +28,10 @@ CONFIGS = [
     ("le-ring/hs", "cycle", "crash=1@2,seed=3"),
     ("search-star/classical", "star", None),
 ]
+
+#: (engine backend, node API) pairs: the production loop under both node
+#: APIs, and the reference oracle loop, which runs scalar programs only.
+DISPATCH = [("fast", "auto"), ("fast", "scalar"), ("reference", "scalar")]
 
 
 @contextlib.contextmanager
@@ -99,15 +104,15 @@ class TestTelemetryInvariance:
     @given(
         config_index=st.integers(min_value=0, max_value=len(CONFIGS) - 1),
         seed=st.integers(min_value=0, max_value=2**16),
-        engine=st.sampled_from(["fast", "reference"]),
-        node_api=st.sampled_from(["auto", "scalar"]),
+        dispatch=st.sampled_from(DISPATCH),
         traced=st.booleans(),
         profiled=st.booleans(),
     )
     @settings(max_examples=12, deadline=None)
     def test_traced_run_is_bit_identical(
-        self, config_index, seed, engine, node_api, traced, profiled
+        self, config_index, seed, dispatch, traced, profiled
     ):
+        engine, node_api = dispatch
         with _clean_env(REPRO_ENGINE=engine):
             scenario = _scenario(config_index, seed, engine, node_api)
             bare = _artifacts(scenario, engine, traced=False, profiled=False)

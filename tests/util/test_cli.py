@@ -1,5 +1,7 @@
 """Tests for the command-line interface."""
 
+import os
+
 import pytest
 
 from repro.cli import build_parser, main
@@ -106,6 +108,17 @@ class TestSweepCommand:
     def test_unknown_scenario_is_an_error(self, capsys):
         assert main(["sweep", "--scenario", "le-donut/quantum"]) == 2
         assert "unknown scenario" in capsys.readouterr().err
+
+    def test_in_process_call_leaves_environment_unchanged(self, capsys):
+        before = dict(os.environ)
+        code = main(
+            ["sweep", "--scenario", "ring-le/lcr", "--sizes", "8",
+             "--trials", "1", "--jobs", "1", "--no-cache",
+             "--engine", "reference", "--node-api", "scalar",
+             "--kernel", "numpy", "--profile"]
+        )
+        assert code == 0
+        assert dict(os.environ) == before
 
 
 class TestScenariosCommand:
